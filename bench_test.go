@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's quantitative claims, one per
-// experiment in EXPERIMENTS.md (E1–E9) plus the design-decision
-// ablations from DESIGN.md §4. cmd/vexus-bench prints the same
+// vexus-bench experiment (E1–E9) plus design ablations (the four
+// miners, partial index materialization). cmd/vexus-bench prints the same
 // measurements as formatted tables; these testing.B versions give
 // ns/op + allocs and run under `go test -bench=. -benchmem`.
 package vexus_test

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"time"
 
 	"vexus/internal/action"
@@ -106,10 +104,7 @@ func runP3(seed uint64, _ string) error {
 		(gatewayMS-directMS)/requests, gatewayMS/directMS, moved, trailLen+1,
 		float64(drainTime.Microseconds())/1000, perSession)
 
-	note := struct {
-		Experiment    string  `json:"experiment"`
-		NumCPU        int     `json:"num_cpu"`
-		Seed          uint64  `json:"seed"`
+	return writeNote("cluster_routing", seed, struct {
 		Requests      int     `json:"requests"`
 		DirectMS      float64 `json:"direct_ms"`
 		GatewayMS     float64 `json:"gateway_ms"`
@@ -119,9 +114,6 @@ func runP3(seed uint64, _ string) error {
 		DrainMS       float64 `json:"drain_ms"`
 		PerSessionMS  float64 `json:"migrate_per_session_ms"`
 	}{
-		Experiment:    "cluster_routing",
-		NumCPU:        runtime.NumCPU(),
-		Seed:          seed,
 		Requests:      requests,
 		DirectMS:      directMS,
 		GatewayMS:     gatewayMS,
@@ -130,20 +122,7 @@ func runP3(seed uint64, _ string) error {
 		TrailLen:      trailLen + 1,
 		DrainMS:       float64(drainTime.Microseconds()) / 1000,
 		PerSessionMS:  perSession,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	})
 }
 
 // driveSession creates a session at base and applies `requests`

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"vexus/internal/core"
@@ -22,7 +20,7 @@ import (
 
 // workersFlag is the -workers count used by every parallel mining or
 // simulation path below; benchNote is the -bench-note JSON target of
-// the p1 experiment.
+// the p1..p7 experiments (see writeNote).
 var (
 	workersFlag int
 	benchNote   string
@@ -655,12 +653,9 @@ func runP1(seed uint64, _ string) error {
 		return err
 	}
 	workers := parallel.Workers(workersFlag, 1<<30)
-	note := struct {
-		Experiment string         `json:"experiment"`
-		NumCPU     int            `json:"num_cpu"`
-		Seed       uint64         `json:"seed"`
-		Rows       []benchNoteRow `json:"rows"`
-	}{Experiment: "parallel_mining", NumCPU: runtime.NumCPU(), Seed: seed}
+	var note struct {
+		Rows []benchNoteRow `json:"rows"`
+	}
 
 	// Discovery: the full closed-group enumeration on the evaluation
 	// transactions.
@@ -720,20 +715,7 @@ func runP1(seed uint64, _ string) error {
 	}
 	fmt.Printf("\n%d groups mined; MT aggregate identical across paths (%d runs)\n",
 		len(seqGroups), runs)
-
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	return writeNote("parallel_mining", seed, note)
 }
 
 // ---------------------------------------------------------------------------
@@ -839,11 +821,8 @@ func runP2(seed uint64, _ string) error {
 	fmt.Printf("\nwarm start %.1fx faster than cold build; snapshot %d KiB; %d groups bit-identical (workers=%d)\n",
 		speedup, info.Size()/1024, cold.Space.Len(), workers)
 
-	note := struct {
-		Experiment    string  `json:"experiment"`
-		NumCPU        int     `json:"num_cpu"`
+	return writeNote("store_warmstart", seed, struct {
 		Workers       int     `json:"workers"`
-		Seed          uint64  `json:"seed"`
 		Groups        int     `json:"groups"`
 		SnapshotBytes int64   `json:"snapshot_bytes"`
 		ColdMS        float64 `json:"cold_ms"`
@@ -851,30 +830,14 @@ func runP2(seed uint64, _ string) error {
 		WarmMS        float64 `json:"warm_ms"`
 		Speedup       float64 `json:"speedup"`
 	}{
-		Experiment:    "store_warmstart",
-		NumCPU:        runtime.NumCPU(),
 		Workers:       workers,
-		Seed:          seed,
 		Groups:        cold.Space.Len(),
 		SnapshotBytes: info.Size(),
 		ColdMS:        float64(coldTime.Microseconds()) / 1000,
 		SaveMS:        float64(saveTime.Microseconds()) / 1000,
 		WarmMS:        float64(warmTime.Microseconds()) / 1000,
 		Speedup:       speedup,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	})
 }
 
 // ---------------------------------------------------------------------------

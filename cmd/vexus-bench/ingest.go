@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"vexus/internal/core"
@@ -166,11 +164,8 @@ func runP5(seed uint64, _ string) error {
 	fmt.Printf("\n%d batches (%d rows) → engine version %d; base+delta %d KiB vs compacted %d KiB (workers=%d)\n",
 		batches, rows, cur.Version(), deltaInfo.Size()/1024, compInfo.Size()/1024, workers)
 
-	note := struct {
-		Experiment     string    `json:"experiment"`
-		NumCPU         int       `json:"num_cpu"`
+	return writeNote("ingest", seed, struct {
 		Workers        int       `json:"workers"`
-		Seed           uint64    `json:"seed"`
 		Batches        int       `json:"batches"`
 		Rows           int       `json:"rows"`
 		EngineVersion  uint64    `json:"engine_version"`
@@ -182,10 +177,7 @@ func runP5(seed uint64, _ string) error {
 		DeltaLoadMS    float64   `json:"warm_load_delta_ms"`
 		CompactLoadMS  float64   `json:"warm_load_compacted_ms"`
 	}{
-		Experiment:     "ingest",
-		NumCPU:         runtime.NumCPU(),
 		Workers:        workers,
-		Seed:           seed,
 		Batches:        batches,
 		Rows:           rows,
 		EngineVersion:  cur.Version(),
@@ -196,18 +188,5 @@ func runP5(seed uint64, _ string) error {
 		CompactedBytes: compInfo.Size(),
 		DeltaLoadMS:    float64(deltaLoad.Microseconds()) / 1000,
 		CompactLoadMS:  float64(compactLoad.Microseconds()) / 1000,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	})
 }

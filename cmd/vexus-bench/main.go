@@ -1,8 +1,9 @@
-// vexus-bench regenerates every quantitative claim of the paper
-// (DESIGN.md §5): run `vexus-bench -e all` for the full suite or
-// `-e e1,e4` for a subset. Each experiment prints a table whose shape
-// should match the paper's claim; EXPERIMENTS.md records a captured
-// run side by side with the claims.
+// vexus-bench regenerates every quantitative claim of the paper: run
+// `vexus-bench -e all` for the full suite or `-e e1,e4` for a subset.
+// Each experiment prints the paper's claim above a table whose shape
+// should match it. The p1..p7 experiments check the implementation
+// (parallel equivalence, warm start, cluster, SSE, ingest, telemetry
+// overhead, fail-closed chaos) and can write a JSON note (-bench-note).
 package main
 
 import (
@@ -21,16 +22,12 @@ func main() {
 	flag.IntVar(&workersFlag, "workers", 0,
 		"worker count for the parallel mining/simulation paths (0 = NumCPU, 1 = sequential)")
 	flag.StringVar(&benchNote, "bench-note", "",
-		"write the p1..p7 wall-time note to this JSON file (e.g. BENCH_parallel_mining.json, BENCH_store_warmstart.json, BENCH_cluster_routing.json, BENCH_sse_fanout.json, BENCH_ingest.json, BENCH_obs_overhead.json, BENCH_cluster_scale.json); run one experiment per invocation when using it")
+		"write the p1..p7 JSON note to this file (e.g. BENCH_parallel_mining.json, BENCH_store_warmstart.json, BENCH_cluster_routing.json, BENCH_sse_fanout.json, BENCH_ingest.json, BENCH_obs_overhead.json, BENCH_cluster_scale.json); run one experiment per invocation when using it")
 	flag.IntVar(&p7Users, "users", 0, "p7: population size (0 = scale preset)")
 	flag.IntVar(&p7Live, "live", 0, "p7: live analysts driving real sessions (0 = scale preset)")
 	flag.IntVar(&p7Shards, "lshards", 0, "p7: cluster size (0 = scale preset)")
 	flag.IntVar(&p7Ticks, "ticks", 0, "p7: virtual run length in ticks (0 = scale preset)")
 	flag.StringVar(&p7Chaos, "chaos", "", `p7: fault schedule "tick:op[:target],..." ("" = default schedule, "none" = fault-free)`)
-	flag.StringVar(&baselineFlag, "baseline", "",
-		"compare this run's regression metrics against a prior bench-note JSON; exit non-zero past -regress-threshold (p7)")
-	flag.Float64Var(&regressPctFlag, "regress-threshold", 10,
-		"percent a regression metric may exceed its -baseline value before the gate fails")
 	flag.Parse()
 
 	runners := map[string]func(uint64, string) error{

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -140,10 +137,7 @@ func runP6(seed uint64, _ string) error {
 	fmt.Printf("\n%d rounds (%d requests each side): overhead %+.2f%% (budget 2%%)\n",
 		rounds, reqs, overheadPct)
 
-	note := struct {
-		Experiment     string  `json:"experiment"`
-		NumCPU         int     `json:"num_cpu"`
-		Seed           uint64  `json:"seed"`
+	return writeNote("obs_overhead", seed, struct {
 		Rounds         int     `json:"rounds"`
 		Requests       int     `json:"requests_per_variant"`
 		InstrumentedMS float64 `json:"instrumented_ms"`
@@ -151,27 +145,11 @@ func runP6(seed uint64, _ string) error {
 		OverheadPct    float64 `json:"overhead_pct"`
 		BudgetPct      float64 `json:"budget_pct"`
 	}{
-		Experiment:     "obs_overhead",
-		NumCPU:         runtime.NumCPU(),
-		Seed:           seed,
 		Rounds:         rounds,
 		Requests:       reqs,
 		InstrumentedMS: instrMS,
 		DisabledMS:     disMS,
 		OverheadPct:    overheadPct,
 		BudgetPct:      2,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	})
 }

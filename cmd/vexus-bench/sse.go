@@ -2,12 +2,9 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -104,30 +101,9 @@ func runP4(seed uint64, _ string) error {
 	fmt.Printf("\nfan-out %dx subscribers multiplies apply time %.2fx (bounded-queue publish: watchers ride along, writers never wait)\n",
 		levels[len(levels)-1], top/base)
 
-	note := struct {
-		Experiment string `json:"experiment"`
-		NumCPU     int    `json:"num_cpu"`
-		Seed       uint64 `json:"seed"`
-		Rows       []row  `json:"rows"`
-	}{
-		Experiment: "sse_fanout",
-		NumCPU:     runtime.NumCPU(),
-		Seed:       seed,
-		Rows:       rows,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
+	return writeNote("sse_fanout", seed, struct {
+		Rows []row `json:"rows"`
+	}{rows})
 }
 
 // benchStream is a minimal SSE consumer: a parser goroutine feeds diff

@@ -16,7 +16,6 @@
 //	POST   /api/v1/sessions?dataset=           → 201, full state + ETag
 //	DELETE /api/v1/sessions/{sid}              → 204
 //	GET    /api/v1/sessions/{sid}/state        → full state; If-None-Match honored (304)
-//	GET    /api/v1/state?sid=                  → same, legacy address shape
 //	POST   /api/v1/sessions/{sid}/actions      → apply an action batch
 //
 // The actions body is a JSON array of typed actions ({"op":"explore",

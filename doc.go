@@ -6,8 +6,9 @@
 // The public surface lives under internal/ packages wired together by
 // internal/core (the engine and session), with executables in cmd/ and
 // runnable scenarios in examples/. bench_test.go at this root holds one
-// benchmark per experiment in EXPERIMENTS.md; cmd/vexus-bench prints
-// the corresponding paper-style tables.
+// benchmark per vexus-bench experiment; cmd/vexus-bench prints the
+// corresponding paper-style tables, and perfbench/ measures the
+// serving stack's wall-clock cost (perfbench/README.md).
 //
 // # Concurrency
 //
@@ -328,28 +329,28 @@
 // arrival rates, an explore/backtrack/focus+brush behavior mix drawn
 // from per-user rng.Derive streams) drives a multi-shard in-process
 // cluster — real gateway, real cluster.LocalShard workers, real v1
-// action batches and SSE subscriptions — under a tick-based
-// latency/queue model, while a scripted fault schedule (kill a shard
-// mid-trail, partition until the detector fires, bounce the gateway
-// against its durable route table, drain, force an engine eviction)
-// runs against it. The cluster lives entirely on an injected virtual
+// action batches and SSE subscriptions — while a scripted fault
+// schedule (kill a shard mid-trail, partition until the detector
+// fires, bounce the gateway against its durable route table, drain,
+// force an engine eviction) runs against it. The cluster lives entirely on an injected virtual
 // clock with manual membership sweeps, session ids are harness-minted,
 // and every Summary accumulator folds in fixed sequential order, so
 // one Config produces a bit-identical Summary at any worker count —
 // the equivalence suite pins workers 1, 2 and 8 under the race
 // detector.
 //
-// The Summary records p50/p99/p99.9 modeled action latency (per-shard
-// telemetry.HistogramSnapshot instances merged via telemetry.Merge),
-// queue depths, migration-under-churn and replay cost, eviction
-// counts scraped from each shard's registry, SSE delivery and close
-// reasons — and a set of fail-closed invariants that must all read
-// zero: no session answered by the wrong owner, no ETag
+// The Summary records action and session volume, availability and
+// loss under each fault, migration-under-churn and replay cost,
+// eviction counts scraped from each shard's registry, SSE delivery and
+// close reasons — and a set of fail-closed invariants that must all
+// read zero: no session answered by the wrong owner, no ETag
 // (`"<sid>.<mutations>"`) discontinuity for survivors, epoch bumps
 // exactly on routing-set changes, no lost sid ever answering again
 // (fail-open ghosts), gateway restarts preserving the persisted
 // epoch. vexus-bench -e p7 runs it as an experiment (writing
-// BENCH_cluster_scale.json), and -baseline gates that run against a
-// previous note's regression metrics with a percentage threshold,
-// exiting non-zero past it.
+// BENCH_cluster_scale.json with -bench-note) and exits non-zero on
+// any violation; that exit is the harness's gate. It reports no
+// latency: its analysts act on a virtual clock, so any time it put on
+// them would be modeled. Wall-clock numbers for the serving stack,
+// end to end and per layer, come from perfbench (perfbench/README.md).
 package vexus

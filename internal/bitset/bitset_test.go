@@ -379,8 +379,8 @@ func BenchmarkJaccardBitset(b *testing.B) {
 	}
 }
 
-// BenchmarkJaccardMap is the ablation baseline for design decision 1 in
-// DESIGN.md: Jaccard over Go map-based sets, for comparison with the
+// BenchmarkJaccardMap is the ablation baseline for the bitset design
+// choice: Jaccard over Go map-based sets, for comparison with the
 // word-parallel bitset implementation above.
 func BenchmarkJaccardMap(b *testing.B) {
 	r := rand.New(rand.NewSource(1))

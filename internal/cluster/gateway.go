@@ -362,7 +362,6 @@ func (g *Gateway) Routes() http.Handler {
 	handle("GET /api/v1/sessions/{sid}/state", g.bySID(pathSID))
 	handle("GET /api/v1/sessions/{sid}/events", g.handleEvents)
 	handle("POST /api/v1/sessions/{sid}/actions", g.bySID(pathSID))
-	handle("GET /api/v1/state", g.bySID(querySID))
 	handle("GET /api/state", g.bySID(querySID))
 	handle("GET /api/groupviz.svg", g.bySID(querySID))
 	handle("GET /api/focus.svg", g.bySID(querySID))

@@ -66,8 +66,10 @@ func (b IngestBatch) Digest() BatchDigest {
 }
 
 // DecodeIngestBatch parses a canonical binary encoding produced by
-// AppendBinary. The round trip is exact: re-encoding the result yields
-// the input bytes, so digests survive storage.
+// AppendBinary and rejects every other encoding of the same batch
+// (non-minimal varints, duplicate or out-of-order map keys). The round
+// trip is exact: re-encoding the result yields the input bytes, so
+// digests survive storage.
 func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 	d := &batchDecoder{data: data}
 	var b IngestBatch
@@ -83,15 +85,15 @@ func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 			u := dataset.NewUser{ID: d.str()}
 			if dn := d.count(); dn > 0 {
 				u.Demo = make(map[string]string, dn)
-				for j := 0; j < dn && d.err == nil; j++ {
-					k := d.str()
+				for j, k := 0, ""; j < dn && d.err == nil; j++ {
+					k = d.key(k, j)
 					u.Demo[k] = d.str()
 				}
 			}
 			if nn := d.count(); nn > 0 {
 				u.Numeric = make(map[string]float64, nn)
-				for j := 0; j < nn && d.err == nil; j++ {
-					k := d.str()
+				for j, k := 0, ""; j < nn && d.err == nil; j++ {
+					k = d.key(k, j)
 					u.Numeric[k] = d.f64()
 				}
 			}
@@ -286,6 +288,10 @@ func (d *batchDecoder) uvarint() uint64 {
 		d.err = fmt.Errorf("truncated varint at %d", d.pos)
 		return 0
 	}
+	if n > 1 && d.data[d.pos+n-1] == 0 { // a zero high group pads the value
+		d.err = fmt.Errorf("non-minimal varint at %d", d.pos)
+		return 0
+	}
 	d.pos += n
 	return v
 }
@@ -312,6 +318,17 @@ func (d *batchDecoder) str() string {
 	s := string(d.data[d.pos : d.pos+n])
 	d.pos += n
 	return s
+}
+
+// key reads the j-th key of a map, which AppendBinary writes in
+// strictly ascending order after the previous key prev.
+func (d *batchDecoder) key(prev string, j int) string {
+	at := d.pos
+	k := d.str()
+	if d.err == nil && j > 0 && k <= prev {
+		d.err = fmt.Errorf("map key %q at %d not after %q", k, at, prev)
+	}
+	return k
 }
 
 func (d *batchDecoder) f64() float64 {

@@ -228,6 +228,55 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if _, err := core.DecodeIngestBatch(append(append([]byte(nil), raw...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+
+	// Hand-built encodings: one user "u" with the given demo and
+	// numeric pairs, no actions. Only the canonical form may decode.
+	str := func(v string) []byte { return append([]byte{byte(len(v))}, v...) }
+	f64 := make([]byte, 8)
+	user := func(seq []byte, demo, numeric []string) []byte {
+		out := append([]byte("vexus-ingest-v1"), seq...)
+		out = append(append(out, 1), str("u")...)
+		out = append(out, byte(len(demo)))
+		for _, k := range demo {
+			out = append(append(out, str(k)...), str("x")...)
+		}
+		out = append(out, byte(len(numeric)))
+		for _, k := range numeric {
+			out = append(append(out, str(k)...), f64...)
+		}
+		return append(out, 0)
+	}
+	canon := user([]byte{0x80, 0x01}, []string{"a", "b"}, []string{"a", "b"})
+	if got, err := core.DecodeIngestBatch(canon); err != nil || got.Seq != 128 || !bytes.Equal(got.AppendBinary(nil), canon) {
+		t.Fatalf("canonical hand-built batch does not round-trip: %+v, %v", got, err)
+	}
+	for name, enc := range map[string][]byte{
+		"non-minimal seq":          append([]byte("vexus-ingest-v1"), 0x80, 0x00, 0x00, 0x00),
+		"non-minimal seq 2 groups": user([]byte{0x80, 0x81, 0x00}, nil, nil),
+		"duplicate demo key":       user([]byte{0}, []string{"a", "a"}, nil),
+		"out-of-order demo keys":   user([]byte{0}, []string{"b", "a"}, nil),
+		"duplicate numeric key":    user([]byte{0}, nil, []string{"a", "a"}),
+		"out-of-order numeric":     user([]byte{0}, nil, []string{"b", "a"}),
+	} {
+		if _, err := core.DecodeIngestBatch(enc); err == nil {
+			t.Errorf("%s: non-canonical encoding accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeIngestBatch: whatever DecodeIngestBatch accepts is the
+// canonical encoding of what it returns, byte for byte. The seed
+// corpus (testdata/fuzz) holds AppendBinary of the test batches.
+func FuzzDecodeIngestBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := core.DecodeIngestBatch(data)
+		if err != nil {
+			return
+		}
+		if re := b.AppendBinary(nil); !bytes.Equal(re, data) {
+			t.Fatalf("decode→encode changed the bytes:\n in  %x\n out %x", data, re)
+		}
+	})
 }
 
 // TestGroupTouchedAndDiff: after an ingest, groups the new users join

@@ -6,7 +6,6 @@
 // reproduce the statistical shape that the paper's claims depend on —
 // categorical demographics, Zipfian action skew, and overlapping
 // community structure — with seeded determinism and configurable scale.
-// See DESIGN.md §2 for the substitution argument.
 package datagen
 
 import (

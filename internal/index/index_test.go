@@ -172,8 +172,8 @@ func TestMemoryScalesWithFraction(t *testing.T) {
 }
 
 func TestPropRecallMonotoneInFraction(t *testing.T) {
-	// Design decision 2 (DESIGN.md): recall@k must be non-decreasing in
-	// the materialization fraction.
+	// Partial materialization: recall@k must be non-decreasing in the
+	// materialization fraction.
 	f := func(seed int64) bool {
 		s := buildSpace(t, uint64(seed)+100, 40, 15)
 		fracs := []float64{0.05, 0.25, 1.0}

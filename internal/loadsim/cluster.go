@@ -19,9 +19,8 @@ import (
 	"vexus/internal/telemetry"
 )
 
-// shardNode is one shard worker plus its harness-side model state: the
-// chaos switch in front of its handler, the modeled arrival queue, and
-// the latency histogram its virtual actions observe into.
+// shardNode is one shard worker plus its harness-side state: the chaos
+// switch in front of its handler and the fault flags it is under.
 type shardNode struct {
 	name  string
 	srv   *serve.Server
@@ -31,13 +30,6 @@ type shardNode struct {
 	killed      bool
 	partitioned bool
 	drained     bool
-
-	lat          telemetry.HistogramSnapshot
-	queue        float64
-	arrivals     int
-	depthSum     float64
-	depthSamples int
-	maxDepth     float64
 }
 
 // chaosHandler is the fault switch in front of a shard handler.

@@ -1,20 +1,25 @@
 // Package loadsim is the cluster-scale workload and fault-injection
 // harness: a deterministic synthetic population of analysts driving a
 // multi-shard in-process cluster (gateway + cluster.LocalShard
-// workers) through the v1 action API and the SSE diff stream, under a
-// tick-based latency/queue model and a scripted chaos schedule.
+// workers) through the v1 action API and the SSE diff stream under a
+// scripted chaos schedule, with every fail-closed invariant audited.
 //
 // The population is two-layered. Every simulated analyst lives in the
 // virtual layer: a per-user rng.Derive stream decides, tick by tick,
 // whether the analyst acts and which operation they pick
-// (explore/backtrack/focus+brush), and each act becomes an arrival in
-// the owning shard's queue model, which prices it with a latency the
-// per-shard histograms record. The first Config.Live analysts are
-// additionally *live*: they create real sessions through the gateway,
-// POST real action batches (?full=1), and a deterministic subset holds
-// real SSE subscriptions — so routing, migration, ETag continuity and
-// stream teardown are exercised against the real stack while the
-// population provides cluster-scale load shape.
+// (explore/backtrack/focus+brush), and each act is booked against the
+// owning shard as served, unavailable, or lost with it. The first
+// Config.Live analysts are additionally *live*: they create real
+// sessions through the gateway, POST real action batches (?full=1),
+// and a deterministic subset holds real SSE subscriptions — so
+// routing, migration, ETag continuity and stream teardown are
+// exercised against the real stack while the population provides
+// cluster-scale load shape.
+//
+// The harness reports no latency: virtual acts never reach a shard, so
+// any time attached to them would be modeled, not measured. Wall-clock
+// numbers for the serving stack come from the perfbench module
+// (perfbench/README.md).
 //
 // Determinism contract: with the same Config (Workers excluded), the
 // Summary is bit-identical at any worker count. Everything the Summary
@@ -75,12 +80,6 @@ type Config struct {
 	ZipfS    float64
 	PeakRate float64
 	MinRate  float64
-	// BaseLatencyMS is the queue model's zero-load latency (default 2).
-	BaseLatencyMS float64
-	// ServiceRate is each shard's modeled service capacity in
-	// actions/tick (0 = auto: 1.4x the expected per-shard arrival
-	// rate, i.e. ~70% utilization before chaos shrinks the cluster).
-	ServiceRate float64
 	// SuspectTicks / DownTicks tune failure detection in virtual
 	// seconds (defaults 3 / 6).
 	SuspectTicks int
@@ -127,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.MinRate == 0 {
 		c.MinRate = 0.01
 	}
-	if c.BaseLatencyMS == 0 {
-		c.BaseLatencyMS = 2
-	}
 	if c.SuspectTicks <= 0 {
 		c.SuspectTicks = 3
 	}
@@ -168,10 +164,6 @@ func newVclock() *vclock {
 func (c *vclock) now() time.Time {
 	return c.base.Add(time.Duration(c.tick.Load()) * time.Second)
 }
-
-// latencyBoundsMS is the modeled-latency histogram layout (ms). Shared
-// by every shard so telemetry.Merge can fold them.
-var latencyBoundsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000}
 
 // Run executes one load/chaos simulation and returns its Summary.
 func Run(cfg Config) (*Summary, error) {
@@ -238,8 +230,6 @@ type harness struct {
 	slots    []turn
 	streams  []*sseStream
 	deadSids []string
-
-	svcRate float64 // modeled per-shard service rate, actions/tick
 
 	// Accumulators (phase B + chaos + audit; sequential order only).
 	virtualActions  uint64
@@ -326,13 +316,11 @@ func newHarness(cfg Config, schedule []ChaosOp) (*harness, error) {
 	return h, nil
 }
 
-// initPopulation derives every analyst's rng stream and arrival rate,
-// and sizes the queue model off the expected aggregate load.
+// initPopulation derives every analyst's rng stream and arrival rate.
 func (h *harness) initPopulation() {
 	cfg := h.cfg
 	h.users = make([]user, cfg.Users)
 	h.slots = make([]turn, cfg.Users)
-	total := 0.0
 	for i := range h.users {
 		u := &h.users[i]
 		u.idx = i
@@ -344,14 +332,6 @@ func (h *harness) initPopulation() {
 		u.rate = rate
 		u.live = i < cfg.Live
 		u.pendingCreate = true
-		total += rate
-	}
-	h.svcRate = cfg.ServiceRate
-	if h.svcRate <= 0 {
-		h.svcRate = 1.4 * total / float64(cfg.Shards)
-		if h.svcRate < 1 {
-			h.svcRate = 1
-		}
 	}
 }
 
@@ -397,7 +377,6 @@ func (h *harness) newShard(name string) (*shardNode, error) {
 		srv:   srv,
 		chaos: newChaosHandler(srv.Routes()),
 		telem: reg,
-		lat:   telemetry.NewHistogramSnapshot(latencyBoundsMS),
 	}, nil
 }
 
@@ -531,9 +510,8 @@ func (h *harness) phaseA() {
 }
 
 // phaseB folds the tick's slots into harness state sequentially in
-// user-index order: queue-model arrivals and latencies, live-result
-// bookkeeping (ETag continuity, misroute and loss detection), then
-// session (re)creation. Queue depths drain per shard afterwards.
+// user-index order: action accounting, live-result bookkeeping (ETag
+// continuity, misroute and loss detection), then session (re)creation.
 func (h *harness) phaseB() {
 	for i := range h.users {
 		u := &h.users[i]
@@ -542,10 +520,6 @@ func (h *harness) phaseB() {
 			owner := u.owner
 			switch {
 			case h.ring[owner] && h.shardAlive(owner):
-				n := h.nodes[owner]
-				pos := n.queue + float64(n.arrivals)
-				n.lat.Observe(h.cfg.BaseLatencyMS + (pos+1)*1000.0/h.svcRate)
-				n.arrivals++
 				h.virtualActions++
 				h.actionsByOp[opNames[tn.op]]++
 				if !u.live {
@@ -564,24 +538,6 @@ func (h *harness) phaseB() {
 		}
 		if u.pendingCreate && !u.paused && len(h.ringLst) > 0 {
 			h.createUser(u)
-		}
-	}
-	for _, name := range h.names {
-		n := h.nodes[name]
-		if !h.ring[name] || !h.shardAlive(name) {
-			n.queue = 0
-			n.arrivals = 0
-			continue
-		}
-		n.queue += float64(n.arrivals) - h.svcRate
-		if n.queue < 0 {
-			n.queue = 0
-		}
-		n.arrivals = 0
-		n.depthSum += n.queue
-		n.depthSamples++
-		if n.queue > n.maxDepth {
-			n.maxDepth = n.queue
 		}
 	}
 }

@@ -98,9 +98,6 @@ func TestSummaryDeterministicAcrossWorkers(t *testing.T) {
 			if s.SSEStarted == 0 || s.SSEDelivered == 0 {
 				t.Errorf("expected SSE activity: started=%d delivered=%d", s.SSEStarted, s.SSEDelivered)
 			}
-			if s.LatencyP50Ms <= 0 || s.LatencyP99Ms < s.LatencyP50Ms {
-				t.Errorf("latency quantiles unordered: p50=%v p99=%v", s.LatencyP50Ms, s.LatencyP99Ms)
-			}
 			continue
 		}
 		if string(enc) != string(base) {

@@ -1,9 +1,5 @@
 package loadsim
 
-import (
-	"vexus/internal/telemetry"
-)
-
 // Summary is the deterministic result of one Run: identical Configs
 // (Workers excluded) marshal to byte-identical JSON at any worker
 // count. Every field is accumulated in fixed sequential order; no
@@ -23,13 +19,6 @@ type Summary struct {
 	VirtualCreates int               `json:"virtual_creates"`
 	LiveCreates    int               `json:"live_creates"`
 	CreateRetries  int               `json:"create_retries"`
-
-	// Modeled latency (merged across shards) and queue behavior.
-	LatencyP50Ms   float64 `json:"latency_p50_ms"`
-	LatencyP99Ms   float64 `json:"latency_p99_ms"`
-	LatencyP999Ms  float64 `json:"latency_p999_ms"`
-	QueueMeanDepth float64 `json:"queue_mean_depth"`
-	QueueMaxDepth  float64 `json:"queue_max_depth"`
 
 	// Availability and loss under chaos.
 	Unavailable     int            `json:"unavailable"`
@@ -72,8 +61,7 @@ type Summary struct {
 }
 
 // summary assembles the Summary after the final audit. All folds run
-// in sorted-shard or stream-creation order so float accumulation is
-// reproducible.
+// in sorted-shard or stream-creation order.
 func (h *harness) summary() *Summary {
 	s := &Summary{
 		Users:  h.cfg.Users,
@@ -120,27 +108,10 @@ func (h *harness) summary() *Summary {
 		EpochFinal: h.gw.Epoch(),
 	}
 
-	merged := telemetry.NewHistogramSnapshot(latencyBoundsMS)
-	var depthSum float64
-	var depthSamples int
 	for _, name := range h.names {
 		n := h.nodes[name]
-		if m, err := telemetry.Merge(merged, n.lat); err == nil {
-			merged = m
-		}
-		depthSum += n.depthSum
-		depthSamples += n.depthSamples
-		if n.maxDepth > s.QueueMaxDepth {
-			s.QueueMaxDepth = n.maxDepth
-		}
 		s.EngineEvictions += h.shardCounter(n, "vexus_engine_evictions_total")
 		s.SessionsEvicted += h.shardCounter(n, "vexus_sessions_evicted_total")
-	}
-	s.LatencyP50Ms = merged.Quantile(0.5)
-	s.LatencyP99Ms = merged.Quantile(0.99)
-	s.LatencyP999Ms = merged.Quantile(0.999)
-	if depthSamples > 0 {
-		s.QueueMeanDepth = depthSum / float64(depthSamples)
 	}
 
 	for _, st := range h.streams {

@@ -1,6 +1,6 @@
 // Package rng provides deterministic, splittable pseudo-randomness for
 // every stochastic component of VEXUS (data generation, simulated
-// explorers, layout jitter). All experiment rows in EXPERIMENTS.md are
+// explorers, layout jitter). Every experiment vexus-bench prints is
 // reproducible because every random draw flows from an explicit seed
 // through this package.
 //

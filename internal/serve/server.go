@@ -163,9 +163,6 @@ func (s *Server) Routes() http.Handler {
 	// Live datasets: batched, sequence-numbered ingestion (and its
 	// ?preview=1 lossy-counting dry run).
 	handle("POST /api/v1/datasets/{name}/ingest", s.handleDatasetIngest)
-	// GET /api/v1/state?sid= mirrors the legacy address shape for
-	// clients migrating one endpoint at a time.
-	handle("GET /api/v1/state", s.handleState)
 
 	// Observability surface: liveness, readiness, and the Prometheus
 	// exposition. /metrics is served straight off the registry — it is
