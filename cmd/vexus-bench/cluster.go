@@ -24,18 +24,17 @@ func greedyDet() greedy.Config {
 }
 
 // ---------------------------------------------------------------------------
-// P3 — cluster routing overhead + migration latency (the
-// internal/cluster subsystem): the same action traffic against a shard
-// directly and through a gateway in front of it (both over loopback
-// TCP, so the delta is the proxy hop), then a drain that migrates a
-// population of sessions by trail replay. States are byte-identical
-// across the gateway and across migration by the cluster contract
-// (pinned by internal/cluster's equivalence tests); p3 measures what
-// that indirection costs.
+// P3 — cluster migration latency (the internal/cluster subsystem): a
+// drain that migrates a population of sessions, seeded through a
+// gateway, by trail replay. States are byte-identical across migration
+// by the cluster contract (pinned by internal/cluster's equivalence
+// tests); p3 measures what moving a session costs. The gateway's own
+// per-request cost is measured by perfbench's traced run
+// (cluster.gateway_self_ms).
 
 func runP3(seed uint64, _ string) error {
-	header("P3: sharded session serving",
-		"gateway adds one proxy hop to each request; migration replays a session in milliseconds")
+	header("P3: session migration",
+		"migration replays a session in milliseconds")
 
 	eng, err := buildAuthors(seed, 1000, 0.02)
 	if err != nil {
@@ -50,8 +49,6 @@ func runP3(seed uint64, _ string) error {
 	defer s0.Close()
 	defer s1.Close()
 
-	direct := httptest.NewServer(s0.Routes())
-	defer direct.Close()
 	gw, err := cluster.NewGateway(
 		cluster.LocalShard("s0", s0.Routes()),
 		cluster.LocalShard("s1", s1.Routes()),
@@ -62,19 +59,6 @@ func runP3(seed uint64, _ string) error {
 	defer gw.Close()
 	gwSrv := httptest.NewServer(gw.Routes())
 	defer gwSrv.Close()
-
-	// Routing overhead: identical one-action batches, direct vs
-	// proxied. Both paths cross loopback TCP once; the gateway path
-	// additionally routes by sid and dispatches the shard handler.
-	const requests = 300
-	directMS, err := driveSession(direct.URL, requests)
-	if err != nil {
-		return fmt.Errorf("direct drive: %w", err)
-	}
-	gatewayMS, err := driveSession(gwSrv.URL, requests)
-	if err != nil {
-		return fmt.Errorf("gateway drive: %w", err)
-	}
 
 	// Migration latency: a population of sessions with real trails,
 	// drained off their shard in one sweep.
@@ -97,52 +81,20 @@ func runP3(seed uint64, _ string) error {
 		perSession = float64(drainTime.Microseconds()) / 1000 / float64(moved)
 	}
 
-	fmt.Printf("%-22s %10s %12s\n", "stage", "requests", "per-req ms")
-	fmt.Printf("%-22s %10d %12.3f\n", "shard direct", requests, directMS/requests)
-	fmt.Printf("%-22s %10d %12.3f\n", "through gateway", requests, gatewayMS/requests)
-	fmt.Printf("\ngateway overhead %.3f ms/request (%.2fx); drained %d sessions (trail %d) in %.1f ms — %.2f ms/session\n",
-		(gatewayMS-directMS)/requests, gatewayMS/directMS, moved, trailLen+1,
-		float64(drainTime.Microseconds())/1000, perSession)
+	fmt.Printf("drained %d sessions (trail %d) in %.1f ms — %.2f ms/session\n",
+		moved, trailLen+1, float64(drainTime.Microseconds())/1000, perSession)
 
 	return writeNote("cluster_routing", seed, struct {
-		Requests      int     `json:"requests"`
-		DirectMS      float64 `json:"direct_ms"`
-		GatewayMS     float64 `json:"gateway_ms"`
-		OverheadPerMS float64 `json:"overhead_per_request_ms"`
-		Moved         int     `json:"sessions_migrated"`
-		TrailLen      int     `json:"trail_len"`
-		DrainMS       float64 `json:"drain_ms"`
-		PerSessionMS  float64 `json:"migrate_per_session_ms"`
+		Moved        int     `json:"sessions_migrated"`
+		TrailLen     int     `json:"trail_len"`
+		DrainMS      float64 `json:"drain_ms"`
+		PerSessionMS float64 `json:"migrate_per_session_ms"`
 	}{
-		Requests:      requests,
-		DirectMS:      directMS,
-		GatewayMS:     gatewayMS,
-		OverheadPerMS: (gatewayMS - directMS) / requests,
-		Moved:         moved,
-		TrailLen:      trailLen + 1,
-		DrainMS:       float64(drainTime.Microseconds()) / 1000,
-		PerSessionMS:  perSession,
+		Moved:        moved,
+		TrailLen:     trailLen + 1,
+		DrainMS:      float64(drainTime.Microseconds()) / 1000,
+		PerSessionMS: perSession,
 	})
-}
-
-// driveSession creates a session at base and applies `requests`
-// one-action explore batches, returning total wall milliseconds of
-// the apply loop (creation excluded — it is identical on both paths).
-func driveSession(base string, requests int) (float64, error) {
-	st, err := createSession(base)
-	if err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	cur := st
-	for i := 0; i < requests; i++ {
-		next, err := applyExplore(base, st.Session, cur.Shown[i%2].ID)
-		if err != nil {
-			return 0, fmt.Errorf("request %d: %w", i, err)
-		}
-		cur = next
-	}
-	return float64(time.Since(t0).Microseconds()) / 1000, nil
 }
 
 // seedSession creates a session and walks it trailLen steps so the

@@ -11,12 +11,15 @@
 // # The v1 action API
 //
 // /api/v1 is the typed exploration-action API (internal/action), the
-// only mutation surface:
+// only session surface:
 //
 //	POST   /api/v1/sessions?dataset=           → 201, full state + ETag
 //	DELETE /api/v1/sessions/{sid}              → 204
 //	GET    /api/v1/sessions/{sid}/state        → full state; If-None-Match honored (304)
 //	POST   /api/v1/sessions/{sid}/actions      → apply an action batch
+//	GET    /api/v1/sessions/{sid}/events       → SSE diff stream
+//	GET    /api/v1/sessions/{sid}/groupviz.svg → GROUPVIZ rendering (?color=attr)
+//	GET    /api/v1/sessions/{sid}/focus.svg    → focused group's projection (404 without a focus)
 //
 // The actions body is a JSON array of typed actions ({"op":"explore",
 // "group":3}, {"op":"brush","attr":"gender","values":["female"]}, …;
@@ -27,13 +30,10 @@
 // metrics (explore) and a state *diff*; with ?full=1 a successful
 // batch returns the full state snapshot instead. The ETag header
 // always reflects the state after the applied prefix and equals
-// `"<sid>.<mutations>"`. The bundled page posts these batches; the
-// former legacy one-action endpoints (/api/explore, /api/backtrack,
-// /api/focus, /api/brush, /api/unlearn, /api/bookmark) are gone.
-// Session lifecycle keeps its legacy twins (POST /api/session → 200,
-// DELETE /api/session?sid=) alongside /api/v1/sessions, and the read
-// endpoints (/api/state, /api/sessions, /api/datasets, the SVGs)
-// are unchanged.
+// `"<sid>.<mutations>"`. The bundled page uses only these routes; the
+// pre-v1 ?sid= addresses are gone. Two ops reads sit outside /api/v1:
+// GET /api/sessions (registry occupancy) and GET /api/datasets (the
+// catalog).
 //
 // # Deployment shapes
 //

@@ -56,9 +56,9 @@
 // the pre-action state (shown groups added/removed, focal change,
 // CONTEXT/MEMO deltas, mutation counter): the server's POST
 // /api/v1/sessions/{sid}/actions returns these diffs per batch entry
-// (?full=1 for a full snapshot), and the /api/state ETag is derived
-// from the same mutation counter, so diff consumers always hold a
-// current validator. Four frontends share the path: the HTTP server
+// (?full=1 for a full snapshot), and the ETag of GET
+// /api/v1/sessions/{sid}/state is derived from the same mutation
+// counter, so diff consumers always hold a current validator. Four frontends share the path: the HTTP server
 // (the bundled page posts v1 batches; the legacy one-action mutation
 // shims are gone), session persistence (the v2 SAVE format serializes
 // the complete action log and still loads lossy v1 files), the vexus
@@ -86,14 +86,14 @@
 // On top of it, cmd/vexus-server -datasets serves a whole catalog: a
 // directory of <name>.json dataset specs with <name>.snap snapshots
 // alongside. Engines build or warm-load lazily on the first request
-// naming them (POST /api/session?dataset=, default dataset when the
-// parameter is absent), concurrent first requests share one build, at
-// most -max-engines engines stay resident (LRU, session-free datasets
-// evicted first), and each dataset owns an isolated session registry.
-// GET /api/datasets lists residency; GET /api/state carries an ETag
-// derived from the session's mutation counter and honors
-// If-None-Match with 304, so pollers stop re-downloading unchanged
-// state snapshots.
+// naming them (POST /api/v1/sessions?dataset=, default dataset when
+// the parameter is absent), concurrent first requests share one
+// build, at most -max-engines engines stay resident (LRU, session-free
+// datasets evicted first), and each dataset owns an isolated session
+// registry. GET /api/datasets lists residency; GET
+// /api/v1/sessions/{sid}/state carries an ETag derived from the
+// session's mutation counter and honors If-None-Match with 304, so
+// pollers stop re-downloading unchanged state snapshots.
 //
 // # Sharded session serving
 //
@@ -134,8 +134,9 @@
 // which enables the /internal/cluster migration surface; gateways
 // start with -cluster gateway -shards host:port,.... In-process
 // shards (cluster.LocalShard) stand up a whole cluster in one test or
-// benchmark binary; vexus-bench -e p3 measures the gateway hop and
-// the per-session migration latency.
+// benchmark binary; vexus-bench -e p3 measures the per-session
+// migration latency of a drain (the gateway's own per-request cost is
+// perfbench's traced cluster.gateway_self_ms).
 //
 // # Cluster membership
 //

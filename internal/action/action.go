@@ -22,7 +22,7 @@
 // deltas, and the session's mutation counter — computed against the
 // pre-action state. Diffs are what let the server stream changes
 // instead of full state snapshots, and the mutation counter is the
-// number the /api/state ETag derives from.
+// number the session ETag derives from.
 package action
 
 import (

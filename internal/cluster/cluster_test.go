@@ -220,6 +220,31 @@ func TestOwnerDeterministicAndMinimalDisruption(t *testing.T) {
 	}
 }
 
+// TestOwnerSpreadsSequentialSids: sids that differ only in a trailing
+// counter spread across shards. The chaos harness mints
+// spare.g<round>.<k> for its evictions and needs both shards of a
+// two-shard ring to win some; sequential u<n> ids must split three
+// shards within 4 points of a third each.
+func TestOwnerSpreadsSequentialSids(t *testing.T) {
+	two := map[string]int{}
+	for k := 0; k < 192; k++ {
+		two[Owner([]string{"s0", "s1"}, fmt.Sprintf("spare.g0.%d", k))]++
+	}
+	if two["s0"] == 0 || two["s1"] == 0 {
+		t.Fatalf("spare.g0.0..191 on [s0 s1] split %v: one shard wins none", two)
+	}
+	three := map[string]int{}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		three[Owner([]string{"s0", "s1", "s2"}, fmt.Sprintf("u%d", i))]++
+	}
+	for _, name := range []string{"s0", "s1", "s2"} {
+		if share := float64(three[name]) / n; share < 1.0/3-0.04 || share > 1.0/3+0.04 {
+			t.Fatalf("u0..u%d split %v: %s holds %.1f%%", n-1, three, name, 100*share)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Gateway basics: hashed placement, sticky routing, aggregation.
 
@@ -343,6 +368,46 @@ func getJSON(t testing.TB, url string, v any) {
 	}
 	if err := json.NewDecoder(res.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatewaySVGRoutes: the session-scoped SVG renderings proxy
+// through the gateway, and the pre-v1 addresses are not routed at all
+// (404 or 405, never 200, though GET / serves the page).
+func TestGatewaySVGRoutes(t *testing.T) {
+	eng := testEngine(t)
+	_, ts := testCluster(t, eng, 2)
+	focused, _ := createV1(t, ts.URL)
+	applyOne(t, ts.URL, focused.Session, action.Action{Op: action.Focus, Group: focused.Shown[0].ID})
+	plain, _ := createV1(t, ts.URL)
+
+	for _, c := range []struct {
+		method, path string
+		ok           bool // want 200 image/svg+xml; otherwise 404 or 405
+	}{
+		{"GET", "/api/v1/sessions/" + focused.Session + "/groupviz.svg", true},
+		{"GET", "/api/v1/sessions/" + focused.Session + "/focus.svg", true},
+		{"GET", "/api/v1/sessions/" + plain.Session + "/groupviz.svg", true},
+		{"GET", "/api/v1/sessions/" + plain.Session + "/focus.svg", false},
+		{"POST", "/api/session", false},
+		{"DELETE", "/api/session?sid=" + plain.Session, false},
+		{"GET", "/api/state?sid=" + plain.Session, false},
+		{"GET", "/api/groupviz.svg?sid=" + plain.Session, false},
+		{"GET", "/api/focus.svg?sid=" + focused.Session, false},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		switch {
+		case c.ok && (res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != "image/svg+xml"):
+			t.Errorf("%s %s: status %d type %q, want 200 image/svg+xml", c.method, c.path, res.StatusCode, res.Header.Get("Content-Type"))
+		case !c.ok && res.StatusCode != http.StatusNotFound && res.StatusCode != http.StatusMethodNotAllowed:
+			t.Errorf("%s %s: status %d, want 404 or 405", c.method, c.path, res.StatusCode)
+		}
 	}
 }
 

@@ -54,18 +54,17 @@ type Gateway struct {
 
 	// place fences session placement against drains: a create holds it
 	// shared from the eligibility snapshot until the route is
-	// recorded, and Drain holds it exclusively (briefly) when marking
-	// a shard draining — so once the mark is visible, no in-flight
-	// create can still land a session on the draining shard after its
+	// recorded, and Drain cycles it exclusively right after marking
+	// the member draining in the directory — so no in-flight create
+	// can still land a session on the draining shard after its
 	// migration sweep listed it.
 	place sync.RWMutex
 
 	// mu guards the maps below; it is never held across a proxied
 	// request or a migration step.
-	mu       sync.RWMutex
-	shards   map[string]*Shard
-	draining map[string]bool
-	routes   map[string]*route // sid → residency (gateway-observed)
+	mu     sync.RWMutex
+	shards map[string]*Shard // member → client (a cache; dir is the truth)
+	routes map[string]*route // sid → residency (gateway-observed)
 
 	// ingestMu serializes dataset ingests through this gateway: one
 	// batch fans out to every shard (in sorted order, under one seq)
@@ -77,10 +76,10 @@ type Gateway struct {
 	stop     chan struct{}
 
 	// dir is the membership directory: the durable, epoch-versioned
-	// member roster failure detection and routing eligibility read from.
-	// g.shards holds the *clients*; dir holds the *truth* about who is
-	// in the cluster and routable. Lock order is g.mu → dir's internal
-	// mutex (the Directory never calls back into the gateway).
+	// member roster, and the only answer to who is routable and who is
+	// draining. g.shards holds the *clients*; a member without one is
+	// skipped at placement. Lock order is g.mu → dir's internal mutex
+	// (the Directory never calls back into the gateway).
 	dir *membership.Directory
 	// secret is the cluster shared secret; stamped onto secretless
 	// shards at admission and required on /internal/cluster/* inbound.
@@ -180,13 +179,12 @@ func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		shards:   make(map[string]*Shard, len(shards)),
-		draining: make(map[string]bool),
-		routes:   make(map[string]*route),
-		stop:     make(chan struct{}),
-		dir:      dir,
-		secret:   cfg.Secret,
-		met:      newGatewayMetrics(cfg.Telemetry, cfg.Logger),
+		shards: make(map[string]*Shard, len(shards)),
+		routes: make(map[string]*route),
+		stop:   make(chan struct{}),
+		dir:    dir,
+		secret: cfg.Secret,
+		met:    newGatewayMetrics(cfg.Telemetry, cfg.Logger),
 	}
 	g.mintSID = cfg.MintSID
 	if g.mintSID == nil {
@@ -347,24 +345,17 @@ func (g *Gateway) Routes() http.Handler {
 
 	// Session lifecycle: creation picks the shard by hashing a
 	// gateway-minted sid; deletion follows the sid and drops the route.
-	handle("POST /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		g.handleCreate(w, r, http.StatusCreated)
-	})
-	handle("POST /api/session", func(w http.ResponseWriter, r *http.Request) {
-		g.handleCreate(w, r, http.StatusOK)
-	})
-	handle("DELETE /api/v1/sessions/{sid}", g.bySID(pathSID))
-	handle("DELETE /api/session", g.bySID(querySID))
+	handle("POST /api/v1/sessions", g.handleCreate)
+	handle("DELETE /api/v1/sessions/{sid}", g.bySID)
 
 	// Session-scoped traffic: proxied to the owner, verbatim. The SSE
 	// diff stream has its own pass-through: it must not pin the
 	// session's migration latch for the stream's lifetime.
-	handle("GET /api/v1/sessions/{sid}/state", g.bySID(pathSID))
+	handle("GET /api/v1/sessions/{sid}/state", g.bySID)
 	handle("GET /api/v1/sessions/{sid}/events", g.handleEvents)
-	handle("POST /api/v1/sessions/{sid}/actions", g.bySID(pathSID))
-	handle("GET /api/state", g.bySID(querySID))
-	handle("GET /api/groupviz.svg", g.bySID(querySID))
-	handle("GET /api/focus.svg", g.bySID(querySID))
+	handle("POST /api/v1/sessions/{sid}/actions", g.bySID)
+	handle("GET /api/v1/sessions/{sid}/groupviz.svg", g.bySID)
+	handle("GET /api/v1/sessions/{sid}/focus.svg", g.bySID)
 
 	// Live datasets: ingestion fans out to every shard under one
 	// gateway-assigned seq (ingest.go).
@@ -395,34 +386,23 @@ func (g *Gateway) Routes() http.Handler {
 	return mux
 }
 
-// pathSID / querySID extract the session id from the two addressing
-// shapes the API supports.
-func pathSID(r *http.Request) string  { return r.PathValue("sid") }
-func querySID(r *http.Request) string { return r.FormValue("sid") }
-
-// bySID wraps a handler that proxies the request to the shard owning
-// the extracted session id.
-func (g *Gateway) bySID(sid func(*http.Request) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := sid(r)
-		if id == "" {
-			http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-			return
-		}
-		sh, release := g.acquire(id)
-		defer release()
-		if sh == nil {
-			http.Error(w, "no shard available", http.StatusBadGateway)
-			return
-		}
-		status := g.proxy(w, r, sh, r.URL.RequestURI())
-		// A 404 means the shard no longer holds the session (TTL
-		// expiry, LRU eviction, delete): drop any stale route eagerly.
-		// 204 is the delete path's success. Routes of expired sessions
-		// nobody asks about again are reclaimed by the sweeper.
-		if status == http.StatusNotFound || status == http.StatusNoContent {
-			g.dropRoute(id)
-		}
+// bySID proxies a /api/v1/sessions/{sid}/… request to the shard owning
+// the session.
+func (g *Gateway) bySID(w http.ResponseWriter, r *http.Request) {
+	sid := r.PathValue("sid")
+	sh, release := g.acquire(sid)
+	defer release()
+	if sh == nil {
+		http.Error(w, "no shard available", http.StatusBadGateway)
+		return
+	}
+	status := g.proxy(w, r, sh, r.URL.RequestURI())
+	// A 404 means the shard no longer holds the session (TTL expiry,
+	// LRU eviction, delete): drop any stale route eagerly. 204 is the
+	// delete path's success. Routes of expired sessions nobody asks
+	// about again are reclaimed by the sweeper.
+	if status == http.StatusNotFound || status == http.StatusNoContent {
+		g.dropRoute(sid)
 	}
 }
 
@@ -485,7 +465,7 @@ func traceHeader(ctx context.Context, header http.Header) http.Header {
 
 // namesLocked lists the routable shard names — dialable members the
 // directory has not marked down — all of them, or only those eligible
-// for new placements (non-draining). This is the single point where
+// for new placements (not draining). This is the single point where
 // membership state gates routing: a down member keeps its client in
 // g.shards (so a recovery heartbeat re-enters it without re-dialing)
 // but wins no rendezvous placement. Caller holds g.mu; the directory
@@ -494,14 +474,30 @@ func (g *Gateway) namesLocked(includeDraining bool) []string {
 	routable := g.dir.RoutableSet()
 	names := make([]string, 0, len(g.shards))
 	for n := range g.shards {
-		if !routable[n] {
-			continue
-		}
-		if includeDraining || !g.draining[n] {
+		if placeable, ok := routable[n]; ok && (placeable || includeDraining) {
 			names = append(names, n)
 		}
 	}
 	return names
+}
+
+// survivors lists the placement-eligible shards other than name, or
+// fails when there are none: a drain or remove must leave somewhere
+// for sessions to go.
+func (g *Gateway) survivors(op, name string) ([]string, error) {
+	g.mu.RLock()
+	names := g.namesLocked(false)
+	g.mu.RUnlock()
+	out := names[:0]
+	for _, n := range names {
+		if n != name {
+			out = append(out, n)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("cluster: cannot %s %q: no shard would remain", op, name)
+	}
+	return out, nil
 }
 
 // proxy forwards the request to the shard under the given path+query
@@ -514,25 +510,20 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, sh *Shard, path 
 		return 0
 	}
 	defer res.Body.Close()
-	return copyResponse(w, res, 0)
+	return copyResponse(w, res)
 }
 
-// copyResponse relays a shard response to the client; statusOverride
-// (non-zero) replaces the status code — the legacy create endpoint
-// answers 200 where the cluster-internal create answers 201. The body
-// copy flushes after every write when the client connection supports
-// it: for buffered JSON responses that costs one extra flush, and for
+// copyResponse relays a shard response to the client. The body copy
+// flushes after every write when the client connection supports it:
+// for buffered JSON responses that costs one extra flush, and for
 // streaming responses (the SSE diff stream) it is what makes events
 // reach the client as they happen instead of sitting in the gateway's
 // write buffer until the stream ends.
-func copyResponse(w http.ResponseWriter, res *http.Response, statusOverride int) int {
+func copyResponse(w http.ResponseWriter, res *http.Response) int {
 	for k, vs := range res.Header {
 		w.Header()[k] = vs
 	}
 	status := res.StatusCode
-	if statusOverride != 0 && status == http.StatusCreated {
-		status = statusOverride
-	}
 	w.WriteHeader(status)
 	var dst io.Writer = w
 	if f, ok := w.(http.Flusher); ok {
@@ -574,10 +565,6 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // resume.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	if sid == "" {
-		http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-		return
-	}
 	sh, release := g.acquire(sid)
 	if sh == nil {
 		release()
@@ -591,7 +578,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Body.Close()
-	if copyResponse(w, res, 0) == http.StatusNotFound {
+	if copyResponse(w, res) == http.StatusNotFound {
 		g.dropRoute(sid)
 	}
 }
@@ -600,12 +587,12 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 // eligible shard, create there under that id, and record the route.
 // Rendezvous placement means the session lands exactly where every
 // later hash lookup will point.
-func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request, wantStatus int) {
+func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// The placement read-lock pins the topology from the eligibility
-	// snapshot until the route is recorded: Drain marks a shard
-	// draining under the write lock, so once that mark is visible no
-	// create still in flight can land a session after the drain's
-	// migration sweep has listed the shard.
+	// snapshot until the route is recorded: Drain cycles the write lock
+	// after marking a shard draining, so no create still in flight can
+	// land a session after the drain's migration sweep has listed the
+	// shard.
 	g.place.RLock()
 	defer g.place.RUnlock()
 	sid := g.mintSID()
@@ -632,7 +619,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request, wantStatu
 		g.routes[sid] = &route{shard: sh.name}
 		g.mu.Unlock()
 	}
-	copyResponse(w, res, wantStatus)
+	copyResponse(w, res)
 }
 
 // dropRoute forgets a session's residency (deletion, expiry).
@@ -731,25 +718,17 @@ func (g *Gateway) Drain(name string) (int, error) {
 	g.topo.Lock()
 	defer g.topo.Unlock()
 
-	g.mu.Lock()
+	g.mu.RLock()
 	sh := g.shards[name]
+	g.mu.RUnlock()
 	if sh == nil {
-		g.mu.Unlock()
 		return 0, fmt.Errorf("cluster: unknown shard %q", name)
 	}
-	survivors := 0
-	for n := range g.shards {
-		if n != name && !g.draining[n] {
-			survivors++
-		}
+	targets, err := g.survivors("drain", name)
+	if err != nil {
+		return 0, err
 	}
-	if survivors == 0 {
-		g.mu.Unlock()
-		return 0, fmt.Errorf("cluster: cannot drain %q: no shard would remain", name)
-	}
-	g.draining[name] = true
-	targets := g.namesLocked(false)
-	g.mu.Unlock()
+	g.dir.SetDraining(name, true)
 
 	// Placement barrier: creates hold g.place shared from eligibility
 	// check to completion, so cycling the write lock here guarantees
@@ -759,40 +738,39 @@ func (g *Gateway) Drain(name string) (int, error) {
 	g.place.Lock()
 	g.place.Unlock() //nolint:staticcheck // empty critical section is the barrier
 
-	list, err := sh.sessions()
+	moved, err := g.migrateAll(sh, targets)
 	if err != nil {
-		g.unmarkDraining(name)
-		return 0, err
+		g.dir.SetDraining(name, false)
+		return moved, err
 	}
-	moved := 0
-	for _, info := range list {
-		to := Owner(targets, info.Session)
-		g.mu.RLock()
-		toShard := g.shards[to]
-		g.mu.RUnlock()
-		if toShard == nil {
-			g.unmarkDraining(name)
-			return moved, fmt.Errorf("cluster: no target shard for %s", info.Session)
-		}
-		if err := g.migrate(info.Session, sh, toShard); err != nil {
-			g.unmarkDraining(name)
-			return moved, err
-		}
-		moved++
-	}
-
 	g.mu.Lock()
 	delete(g.shards, name)
-	delete(g.draining, name)
 	g.mu.Unlock()
 	g.dir.Remove(name)
 	return moved, nil
 }
 
-func (g *Gateway) unmarkDraining(name string) {
-	g.mu.Lock()
-	delete(g.draining, name)
-	g.mu.Unlock()
+// migrateAll moves every session listed on sh to its rendezvous owner
+// among targets, returning how many moved before any error.
+func (g *Gateway) migrateAll(sh *Shard, targets []string) (int, error) {
+	list, err := sh.sessions()
+	if err != nil {
+		return 0, err
+	}
+	moved := 0
+	for _, info := range list {
+		g.mu.RLock()
+		to := g.shards[Owner(targets, info.Session)]
+		g.mu.RUnlock()
+		if to == nil {
+			return moved, fmt.Errorf("cluster: no target shard for %s", info.Session)
+		}
+		if err := g.migrate(info.Session, sh, to); err != nil {
+			return moved, err
+		}
+		moved++
+	}
+	return moved, nil
 }
 
 // Remove force-removes a shard from routing WITHOUT migrating its
@@ -808,27 +786,19 @@ func (g *Gateway) unmarkDraining(name string) {
 func (g *Gateway) Remove(name string) (int, error) {
 	g.topo.Lock()
 	defer g.topo.Unlock()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.shards[name]; !ok {
+	if !g.dir.Known(name) {
 		return 0, fmt.Errorf("cluster: unknown shard %q", name)
 	}
-	if len(g.shards) == 1 {
-		return 0, fmt.Errorf("cluster: cannot remove %q: no shard would remain", name)
+	if _, err := g.survivors("remove", name); err != nil {
+		return 0, err
 	}
-	delete(g.shards, name)
-	delete(g.draining, name)
-	dropped := 0
-	for sid, rt := range g.routes {
-		rt.mu.RLock()
-		onRemoved := rt.shard == name
-		rt.mu.RUnlock()
-		if onRemoved {
-			delete(g.routes, sid)
-			dropped++
-		}
-	}
+	// Out of the routing set first, so a request whose route is dropped
+	// below re-homes by hash onto a survivor, never back onto name.
 	g.dir.Remove(name)
+	dropped := g.failShard(name)
+	g.mu.Lock()
+	delete(g.shards, name)
+	g.mu.Unlock()
 	return dropped, nil
 }
 

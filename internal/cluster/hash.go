@@ -14,12 +14,24 @@ import "hash/fnv"
 //   - Minimal disruption: removing a shard reassigns only the sessions
 //     that lived on it, and adding one steals only the sessions it now
 //     wins — exactly the set replay-based migration has to move.
+//
+// FNV-1a alone is too weak here: a sid's last bytes pass through only
+// one multiply, so sids that differ in a trailing counter ("u1", "u2",
+// …) shift every shard's score by nearly the same amount and keep
+// piling onto one winner. The murmur3 fmix64 finalizer spreads every
+// input bit over the whole score.
 func score(shard, sid string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(shard))
 	_, _ = h.Write([]byte{0}) // separator: ("ab","c") ≠ ("a","bc")
 	_, _ = h.Write([]byte(sid))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Owner returns the rendezvous winner for sid among the given shard

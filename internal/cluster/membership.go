@@ -72,13 +72,6 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(ack)
 }
 
-// sweepMembership runs failure detection and fails routes closed for
-// every member the sweep marks down: its route entries are dropped, so
-// later requests for those sessions re-home by hash and read as
-// expired (404) instead of timing out against a dead address. The
-// shard client stays in g.shards — a recovery heartbeat re-enters the
-// member without re-dialing — but namesLocked stops routing to it the
-// moment the directory marks it down.
 // SweepMembership runs one failure-detection pass explicitly — the
 // manual counterpart of the background sweeper, for gateways built
 // with GatewayConfig.ManualSweep (deterministic harnesses tick it).
@@ -88,6 +81,13 @@ func (g *Gateway) SweepMembership() { g.sweepMembership() }
 // SweepMembership), returning how many stale routes it dropped.
 func (g *Gateway) SweepRoutes() int { return g.sweepRoutes() }
 
+// sweepMembership runs failure detection and fails routes closed for
+// every member the sweep marks down: its route entries are dropped, so
+// later requests for those sessions re-home by hash and read as
+// expired (404) instead of timing out against a dead address. The
+// shard client stays in g.shards — a recovery heartbeat re-enters the
+// member without re-dialing — but namesLocked stops routing to it the
+// moment the directory marks it down.
 func (g *Gateway) sweepMembership() {
 	for _, ev := range g.dir.Sweep() {
 		if ev.To != membership.StateDown {
@@ -102,8 +102,7 @@ func (g *Gateway) sweepMembership() {
 }
 
 // failShard drops every route pinned to the named shard, returning how
-// many. Same traversal as Remove, minus the roster delete: down is a
-// verdict the member can appeal by heartbeating.
+// many: a member marked down, or one Remove dropped from the roster.
 func (g *Gateway) failShard(name string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -150,18 +149,11 @@ func (g *Gateway) warmShard(sh *Shard) error {
 func (g *Gateway) pickDonor(exclude string) *Shard {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	routable := g.dir.RoutableSet()
 	best := ""
-	for name := range g.shards {
-		if name == exclude || !routable[name] || g.draining[name] {
-			continue
-		}
-		if best == "" || name < best {
+	for _, name := range g.namesLocked(false) {
+		if name != exclude && (best == "" || name < best) {
 			best = name
 		}
-	}
-	if best == "" {
-		return nil
 	}
 	return g.shards[best]
 }

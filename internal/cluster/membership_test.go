@@ -478,3 +478,84 @@ func TestGatewayClusterAuth(t *testing.T) {
 		}
 	}
 }
+
+// TestSurvivorGuardReadsDirectory: the survivor check counts the
+// directory's routable, non-draining members, not the client cache. A
+// down member keeps its client, so with s1 down neither draining nor
+// removing s0 may proceed — either would leave no shard to place on.
+func TestSurvivorGuardReadsDirectory(t *testing.T) {
+	eng := testEngine(t)
+	now := time.Unix(1_700_000_000, 0)
+	gw, err := NewGatewayConfig(GatewayConfig{
+		Clock:        func() time.Time { return now },
+		ManualSweep:  true,
+		SuspectAfter: time.Second,
+		DownAfter:    2 * time.Second,
+	}, LocalShard("s0", shardServer(t, eng).Routes()), LocalShard("s1", shardServer(t, eng).Routes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	// One heartbeat ends s1's static grace; then it falls silent.
+	if _, _, err := gw.dir.Heartbeat(membership.Member{Name: "s1"}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(3 * time.Second)
+	gw.SweepMembership()
+	if got := fmt.Sprint(gw.Shards()); got != "[s0]" {
+		t.Fatalf("shards with s1 down = %s, want [s0]", got)
+	}
+
+	for _, op := range []struct {
+		name string
+		call func(string) (int, error)
+	}{{"drain", gw.Drain}, {"remove", gw.Remove}} {
+		if _, err := op.call("s0"); err == nil || !strings.Contains(err.Error(), "no shard would remain") {
+			t.Fatalf("%s s0 with s1 down: err %v, want no shard would remain", op.name, err)
+		}
+		if got := fmt.Sprint(gw.Shards()); got != "[s0]" {
+			t.Fatalf("shards after refused %s = %s, want [s0]", op.name, got)
+		}
+	}
+}
+
+// TestInterruptedDrainReload: the draining flag persists with the route
+// table, so a gateway reopened from the table of a drain that never
+// finished places no new session on the draining member, reports it
+// draining, and can finish the drain.
+func TestInterruptedDrainReload(t *testing.T) {
+	eng := testEngine(t)
+	path := filepath.Join(t.TempDir(), "routes.json")
+	h0, h1 := shardServer(t, eng).Routes(), shardServer(t, eng).Routes()
+
+	gwA, err := NewGatewayConfig(GatewayConfig{RoutesPath: path}, LocalShard("s0", h0), LocalShard("s1", h1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The state Drain leaves between marking s1 and migrating its
+	// sessions, as a crash at that point would persist it.
+	gwA.dir.SetDraining("s1", true)
+	gwA.Close()
+
+	gwB, err := NewGatewayConfig(GatewayConfig{RoutesPath: path}, LocalShard("s0", h0), LocalShard("s1", h1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gwB.Close)
+	ts := httptest.NewServer(gwB.Routes())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 16; i++ {
+		createV1(t, ts.URL)
+	}
+	for _, row := range gwB.Status().Shards {
+		if row.Name == "s1" && (!row.Draining || row.Sessions != 0) {
+			t.Fatalf("reloaded draining member: %+v, want draining with 0 sessions", row)
+		}
+	}
+	if _, err := gwB.Drain("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(gwB.Shards()); got != "[s0]" {
+		t.Fatalf("shards after the resumed drain = %s, want [s0]", got)
+	}
+}

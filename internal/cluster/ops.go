@@ -156,18 +156,13 @@ func (g *Gateway) Status() Status {
 	var st Status
 	st.Epoch = g.dir.Epoch()
 	st.Members = g.dir.Members()
-	states := make(map[string]membership.State, len(st.Members))
+	byName := make(map[string]membership.MemberInfo, len(st.Members))
 	for _, mi := range st.Members {
-		states[mi.Name] = mi.State
+		byName[mi.Name] = mi
 	}
-	g.mu.RLock()
-	draining := make(map[string]bool, len(g.draining))
-	for n := range g.draining {
-		draining[n] = true
-	}
-	g.mu.RUnlock()
 	for _, sh := range g.shardList() {
-		row := ShardStatus{Name: sh.name, Addr: sh.addr, Draining: draining[sh.name], State: string(states[sh.name])}
+		mi := byName[sh.name]
+		row := ShardStatus{Name: sh.name, Addr: sh.addr, Draining: mi.Draining, State: string(mi.State)}
 		list, err := sh.sessions()
 		if err != nil {
 			row.Error = err.Error()
@@ -253,10 +248,7 @@ func (g *Gateway) handleRemove(w http.ResponseWriter, r *http.Request) {
 	dropped, err := g.Remove(name)
 	if err != nil {
 		status := http.StatusConflict
-		g.mu.RLock()
-		_, known := g.shards[name]
-		g.mu.RUnlock()
-		if !known {
+		if !g.dir.Known(name) {
 			status = http.StatusNotFound
 		}
 		http.Error(w, err.Error(), status)

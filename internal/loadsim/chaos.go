@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"vexus/internal/cluster"
 )
 
 // ChaosOp is one scheduled fault: at virtual tick Tick, apply Op to
@@ -233,7 +235,7 @@ func (h *harness) drainShard(name string) error {
 			h.loseUser(u, causeFailure)
 			continue
 		}
-		u.owner = ownerOf(h.ringLst, u.sid)
+		u.owner = cluster.Owner(h.ringLst, u.sid)
 		if u.live {
 			h.drainMovedLive++
 			// Migration closes the old stream ("migrated"); reattach on
@@ -263,7 +265,7 @@ func (h *harness) forceEvict() error {
 	for k := 0; len(covered) < len(h.ringLst) && attempts < 64*len(h.ringLst)+64; k++ {
 		attempts++
 		sid := fmt.Sprintf("spare.g%d.%d", h.evictRounds, k)
-		owner := ownerOf(h.ringLst, sid)
+		owner := cluster.Owner(h.ringLst, sid)
 		if covered[owner] || !h.shardAlive(owner) {
 			covered[owner] = covered[owner] || !h.shardAlive(owner)
 			continue

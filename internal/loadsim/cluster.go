@@ -373,7 +373,7 @@ func (h *harness) restartGateway() error {
 			}
 			continue
 		}
-		if owner := ownerOf(h.ringLst, u.sid); owner != u.owner {
+		if owner := cluster.Owner(h.ringLst, u.sid); owner != u.owner {
 			// The rebuilt gateway would re-home this sid by hash; the
 			// session lives elsewhere, so its next request reads 404.
 			h.restartLost++
@@ -381,10 +381,6 @@ func (h *harness) restartGateway() error {
 		}
 	}
 	return nil
-}
-
-func ownerOf(ring []string, sid string) string {
-	return cluster.Owner(ring, sid)
 }
 
 // drainBody discards and closes a buffered response body.

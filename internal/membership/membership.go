@@ -69,9 +69,13 @@ type Member struct {
 }
 
 // MemberInfo is one roster row: the member plus its current state.
+// Draining marks a member whose sessions are being migrated off: it
+// stays in the routing set (its sessions are still served there until
+// they move) but takes no new placements.
 type MemberInfo struct {
 	Member
-	State State `json:"state"`
+	State    State `json:"state"`
+	Draining bool  `json:"draining,omitempty"`
 }
 
 // Ack is a heartbeat response: the gossip piggyback. The announcing
@@ -115,6 +119,7 @@ type Config struct {
 type record struct {
 	m        Member
 	state    State
+	draining bool
 	lastSeen time.Time // zero: static member that never heartbeated
 }
 
@@ -203,7 +208,7 @@ func Open(cfg Config) (*Directory, error) {
 		if mi.Static {
 			last = time.Time{} // static grace: exempt until first heartbeat
 		}
-		d.members[mi.Name] = &record{m: mi.Member, state: st, lastSeen: last}
+		d.members[mi.Name] = &record{m: mi.Member, state: st, draining: mi.Draining, lastSeen: last}
 	}
 	d.epoch = doc.Epoch
 	return d, nil
@@ -235,26 +240,46 @@ func (d *Directory) Members() []MemberInfo {
 func (d *Directory) rosterLocked() []MemberInfo {
 	out := make([]MemberInfo, 0, len(d.members))
 	for _, rec := range d.members {
-		out = append(out, MemberInfo{Member: rec.m, State: rec.state})
+		out = append(out, MemberInfo{Member: rec.m, State: rec.state, Draining: rec.draining})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// RoutableSet reports the names currently in the routing set — every
-// member not marked down. Suspects stay routable: suspicion is an
-// early warning, and evicting on it would let one late heartbeat
-// thrash the epoch (and migrate sessions) back and forth.
+// RoutableSet maps every member in the routing set — every member not
+// marked down — to whether it takes new placements (false while it
+// drains). Suspects stay routable: suspicion is an early warning, and
+// evicting on it would let one late heartbeat thrash the epoch (and
+// migrate sessions) back and forth.
 func (d *Directory) RoutableSet() map[string]bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make(map[string]bool, len(d.members))
 	for name, rec := range d.members {
 		if rec.state != StateDown {
-			out[name] = true
+			out[name] = !rec.draining
 		}
 	}
 	return out
+}
+
+// SetDraining marks or clears a member's draining flag, reporting
+// whether the member is known. The flag persists with the roster, so a
+// gateway restarted mid-drain still places nothing on the member, but
+// it bumps no epoch: the routing set is unchanged until the drain
+// completes and Remove drops the member.
+func (d *Directory) SetDraining(name string, on bool) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec, ok := d.members[name]
+	if !ok {
+		return false
+	}
+	if rec.draining != on {
+		rec.draining = on
+		d.persistLocked()
+	}
+	return true
 }
 
 // StateCounts reports how many members sit in each state — the

@@ -253,3 +253,39 @@ func TestAuth(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainingFlag: draining keeps a member routable but out of new
+// placements, moves no epoch, and survives a reload.
+func TestDrainingFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "routes.json")
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	d := newTestDir(t, path, clk)
+	d.SeedStatic([]Member{{Name: "a"}, {Name: "b"}})
+	epoch := d.Epoch()
+
+	if !d.SetDraining("b", true) {
+		t.Fatal("SetDraining on a known member reported unknown")
+	}
+	if d.SetDraining("ghost", true) {
+		t.Fatal("SetDraining on an unknown member reported known")
+	}
+	if d.Epoch() != epoch {
+		t.Fatalf("draining moved the epoch: %d -> %d", epoch, d.Epoch())
+	}
+	set := d.RoutableSet()
+	if placeable, ok := set["b"]; !ok || placeable {
+		t.Fatalf("draining member in routing set %v, want routable but not placeable", set)
+	}
+	if !set["a"] {
+		t.Fatalf("non-draining member not placeable: %v", set)
+	}
+
+	d2 := newTestDir(t, path, clk)
+	if placeable, ok := d2.RoutableSet()["b"]; !ok || placeable {
+		t.Fatal("draining flag lost across reload")
+	}
+	d2.SetDraining("b", false)
+	if !d2.RoutableSet()["b"] || d2.Epoch() != epoch {
+		t.Fatalf("cleared drain: placeable %v epoch %d, want true/%d", d2.RoutableSet()["b"], d2.Epoch(), epoch)
+	}
+}

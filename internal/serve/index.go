@@ -120,7 +120,7 @@ async function refresh(state) {
   if (!state) state = await ensureSession();
   if (!state) return;
   if (!es && sid) connect();
-  document.getElementById('gv').src = '/api/groupviz.svg?sid=' + sid + '&t=' + Date.now();
+  document.getElementById('gv').src = '/api/v1/sessions/' + sid + '/groupviz.svg?t=' + Date.now();
   const ul = document.getElementById('groups');
   ul.innerHTML = '';
   (state.shown || []).forEach(g => {
@@ -150,7 +150,7 @@ function renderFocus(f) {
   const el = document.getElementById('focus');
   if (!f) { el.innerHTML = 'click “focus” on a group'; return; }
   let html = '<b>' + f.label + '</b> — ' + f.selected + ' / ' + f.members + ' selected' +
-    '<br><img src="/api/focus.svg?sid=' + sid + '&t=' + Date.now() + '" onerror="this.style.display=\'none\'">';
+    '<br><img src="/api/v1/sessions/' + sid + '/focus.svg?t=' + Date.now() + '" onerror="this.style.display=\'none\'">';
   (f.histograms || []).forEach(h => {
     const max = Math.max(1, ...h.counts);
     html += '<div><b>' + h.attr + '</b>';

@@ -18,13 +18,13 @@ import (
 	"vexus/internal/viz"
 )
 
-// server multiplexes many concurrent explorers over a catalog of
+// Server multiplexes many concurrent explorers over a catalog of
 // immutable engines: every client owns an isolated action.Session
-// (created via POST /api/v1/sessions or the legacy POST /api/session,
-// optionally scoped to a named dataset with ?dataset=) addressed by
-// its session id. Sessions lock individually, so explorers never
-// serialize on each other — only on their own in-flight request — and
-// datasets build or snapshot-load lazily on first use.
+// (created via POST /api/v1/sessions, optionally scoped to a named
+// dataset with ?dataset=) addressed by its session id under
+// /api/v1/sessions/{sid}/. Sessions lock individually, so explorers
+// never serialize on each other — only on their own in-flight request
+// — and datasets build or snapshot-load lazily on first use.
 //
 // Every mutation routes through internal/action.Apply via the /api/v1
 // batch endpoint — the only write path — so the per-action Diff
@@ -160,6 +160,8 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /api/v1/sessions/{sid}/state", s.handleV1State)
 	handle("GET /api/v1/sessions/{sid}/events", s.handleV1Events)
 	handle("POST /api/v1/sessions/{sid}/actions", s.handleV1Actions)
+	handle("GET /api/v1/sessions/{sid}/groupviz.svg", s.handleGroupVizSVG)
+	handle("GET /api/v1/sessions/{sid}/focus.svg", s.handleFocusSVG)
 	// Live datasets: batched, sequence-numbered ingestion (and its
 	// ?preview=1 lossy-counting dry run).
 	handle("POST /api/v1/datasets/{name}/ingest", s.handleDatasetIngest)
@@ -171,17 +173,9 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /api/v1/readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
 
-	// Legacy addressing kept for session lifecycle and reads; the
-	// legacy one-action mutation shims (/api/explore, /api/backtrack,
-	// …) are gone — the bundled page posts /api/v1 action batches now,
-	// and so must every other client.
-	handle("POST /api/session", s.handleSessionCreate)
-	handle("DELETE /api/session", s.handleSessionDelete)
+	// Ops reads: registry occupancy and the dataset catalog.
 	handle("GET /api/sessions", s.handleSessions)
 	handle("GET /api/datasets", s.handleDatasets)
-	handle("GET /api/state", s.handleState)
-	handle("GET /api/groupviz.svg", s.handleGroupVizSVG)
-	handle("GET /api/focus.svg", s.handleFocusSVG)
 
 	if s.shardAPI {
 		// Cluster-internal surface (enabled by Config.ShardAPI, i.e.
@@ -207,20 +201,10 @@ func (s *Server) Routes() http.Handler {
 	return mux
 }
 
-// session resolves the sid parameter to a live session (whatever
-// dataset it belongs to), writing the 4xx itself when it can't: 400
-// for a missing id, 404 for an unknown or expired one.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*clientSession, bool) {
-	return s.sessionByID(w, r.FormValue("sid"))
-}
-
-// sessionByID is the sid-explicit variant backing both the legacy
-// query-parameter and the v1 path-segment addressing.
+// sessionByID resolves the {sid} path segment to a live session
+// (whatever dataset it belongs to), writing the 404 itself for an
+// unknown or expired id.
 func (s *Server) sessionByID(w http.ResponseWriter, sid string) (*clientSession, bool) {
-	if sid == "" {
-		http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-		return nil, false
-	}
 	cs, ok := s.cat.findSession(sid)
 	if !ok {
 		http.Error(w, "unknown or expired session "+sid, http.StatusNotFound)
@@ -366,40 +350,19 @@ func (s *Server) writeState(w http.ResponseWriter, cs *clientSession) {
 	_ = json.NewEncoder(w).Encode(s.state(cs))
 }
 
-// createSession backs both creation endpoints; status is the success
-// code (200 legacy, 201 v1).
-func (s *Server) createSession(w http.ResponseWriter, dataset string, status int) {
-	cs, err := s.cat.createSession(dataset)
+func (s *Server) handleV1SessionCreate(w http.ResponseWriter, r *http.Request) {
+	cs, err := s.cat.createSession(r.FormValue("dataset"))
 	if err != nil {
 		writeCreateError(w, err)
 		return
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if status == http.StatusCreated {
-		w.Header().Set("Location", "/api/v1/sessions/"+cs.id)
-	}
+	w.Header().Set("Location", "/api/v1/sessions/"+cs.id)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", cs.etag())
-	w.WriteHeader(status)
+	w.WriteHeader(http.StatusCreated)
 	_ = json.NewEncoder(w).Encode(s.state(cs))
-}
-
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r.FormValue("dataset"), http.StatusOK)
-}
-
-func (s *Server) handleV1SessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r.FormValue("dataset"), http.StatusCreated)
-}
-
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	s.cat.removeSession(cs.id, s.deleteReason(r))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleV1SessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -447,23 +410,11 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	}{s.cat.defaultName, s.cat.status()})
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	s.stateResponse(w, r, cs)
-}
-
 func (s *Server) handleV1State(w http.ResponseWriter, r *http.Request) {
 	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}
-	s.stateResponse(w, r, cs)
-}
-
-func (s *Server) stateResponse(w http.ResponseWriter, r *http.Request, cs *clientSession) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if etag := cs.etag(); etagMatches(r.Header.Get("If-None-Match"), etag) {
@@ -572,7 +523,7 @@ func readBodyLimit(r *http.Request, limit int64) []byte {
 }
 
 func (s *Server) handleGroupVizSVG(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
+	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}
@@ -619,7 +570,7 @@ func (s *Server) handleGroupVizSVG(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFocusSVG(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
+	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}

@@ -61,7 +61,7 @@ func testServer(t testing.TB, scfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// post sends a form POST and decodes the JSON state on 200.
+// post sends a form POST and decodes the JSON state on 200 or 201.
 func post(t testing.TB, ts *httptest.Server, path string, form url.Values) (stateDTO, *http.Response) {
 	t.Helper()
 	res, err := http.PostForm(ts.URL+path, form)
@@ -70,7 +70,7 @@ func post(t testing.TB, ts *httptest.Server, path string, form url.Values) (stat
 	}
 	defer res.Body.Close()
 	var st stateDTO
-	if res.StatusCode == http.StatusOK {
+	if res.StatusCode == http.StatusOK || res.StatusCode == http.StatusCreated {
 		if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
 			t.Fatalf("POST %s: bad JSON: %v", path, err)
 		}
@@ -82,7 +82,7 @@ func post(t testing.TB, ts *httptest.Server, path string, form url.Values) (stat
 
 func getState(t testing.TB, ts *httptest.Server, sid string) (stateDTO, *http.Response) {
 	t.Helper()
-	res, err := http.Get(ts.URL + "/api/state?sid=" + sid)
+	res, err := http.Get(ts.URL + "/api/v1/sessions/" + sid + "/state")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func actErr(ts *httptest.Server, sid string, acts ...action.Action) (stateDTO, *
 
 func createSession(t testing.TB, ts *httptest.Server) stateDTO {
 	t.Helper()
-	st, res := post(t, ts, "/api/session", nil)
-	if res.StatusCode != http.StatusOK {
+	st, res := post(t, ts, "/api/v1/sessions", nil)
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("session create: status %d", res.StatusCode)
 	}
 	if st.Session == "" {
@@ -234,16 +234,58 @@ func TestFocusAndSVGEndpoints(t *testing.T) {
 		t.Fatal("focus returned no histograms")
 	}
 
-	svg, err := http.Get(ts.URL + "/api/groupviz.svg?sid=" + sid)
-	if err != nil {
-		t.Fatal(err)
+	// Both renderings are session-scoped; focus.svg needs a focus.
+	unfocused := createSession(t, ts).Session
+	for _, c := range []struct {
+		sid, name string
+		want      int
+	}{
+		{sid, "groupviz.svg", http.StatusOK},
+		{sid, "focus.svg", http.StatusOK},
+		{unfocused, "groupviz.svg", http.StatusOK},
+		{unfocused, "focus.svg", http.StatusNotFound},
+		{"deadbeef", "groupviz.svg", http.StatusNotFound},
+	} {
+		res, err := http.Get(ts.URL + "/api/v1/sessions/" + c.sid + "/" + c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != c.want {
+			t.Fatalf("%s for %s: status %d, want %d", c.name, c.sid, res.StatusCode, c.want)
+		}
+		if ct := res.Header.Get("Content-Type"); c.want == http.StatusOK && ct != "image/svg+xml" {
+			t.Fatalf("%s content type %q", c.name, ct)
+		}
 	}
-	defer svg.Body.Close()
-	if svg.StatusCode != http.StatusOK {
-		t.Fatalf("groupviz.svg: status %d", svg.StatusCode)
-	}
-	if ct := svg.Header.Get("Content-Type"); ct != "image/svg+xml" {
-		t.Fatalf("groupviz.svg content type %q", ct)
+}
+
+// TestLegacyAddressesGone: the pre-v1 session addresses answer 404 or
+// 405 — never 200 — even though GET / is registered (for the page).
+func TestLegacyAddressesGone(t *testing.T) {
+	_, ts := testServer(t, DefaultConfig())
+	sid := createSession(t, ts).Session
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/api/session"},
+		{http.MethodDelete, "/api/session?sid=" + sid},
+		{http.MethodGet, "/api/state?sid=" + sid},
+		{http.MethodGet, "/api/groupviz.svg?sid=" + sid},
+		{http.MethodGet, "/api/focus.svg?sid=" + sid},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusNotFound && res.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 404 or 405", c.method, c.path, res.StatusCode)
+		}
 	}
 }
 
@@ -260,10 +302,6 @@ func TestBadSessionAndParams(t *testing.T) {
 		do   func() *http.Response
 		want int
 	}{
-		{"state missing sid", func() *http.Response {
-			_, res := getState(t, ts, "")
-			return res
-		}, http.StatusBadRequest},
 		{"state unknown sid", func() *http.Response {
 			_, res := getState(t, ts, "deadbeef")
 			return res
@@ -301,7 +339,7 @@ func TestSessionDelete(t *testing.T) {
 	_, ts := testServer(t, DefaultConfig())
 	st := createSession(t, ts)
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/session?sid="+st.Session, nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+st.Session, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +402,7 @@ func TestSessionCreateBurstDoesNotEvictActive(t *testing.T) {
 
 	first := createSession(t, ts)
 	second := createSession(t, ts)
-	_, res := post(t, ts, "/api/session", nil)
+	_, res := post(t, ts, "/api/v1/sessions", nil)
 	if res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create over active capacity: status %d, want 503", res.StatusCode)
 	}
@@ -501,15 +539,15 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 	}
 }
 
-// createSessionErr / postErr are the non-fatal variants used inside
-// stress goroutines (testing.T is not goroutine-safe for Fatal).
+// createSessionErr is the non-fatal variant used inside stress
+// goroutines (testing.T is not goroutine-safe for Fatal).
 func createSessionErr(ts *httptest.Server) *stateDTO {
-	res, err := http.Post(ts.URL+"/api/session", "application/x-www-form-urlencoded", nil)
+	res, err := http.Post(ts.URL+"/api/v1/sessions", "application/x-www-form-urlencoded", nil)
 	if err != nil {
 		return nil
 	}
 	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
+	if res.StatusCode != http.StatusCreated {
 		return nil
 	}
 	var st stateDTO
@@ -517,23 +555,6 @@ func createSessionErr(ts *httptest.Server) *stateDTO {
 		return nil
 	}
 	return &st
-}
-
-func postErr(ts *httptest.Server, path string, form url.Values) (stateDTO, *http.Response) {
-	var st stateDTO
-	res, err := http.PostForm(ts.URL+path, form)
-	if err != nil {
-		return st, nil
-	}
-	defer res.Body.Close()
-	if res.StatusCode == http.StatusOK {
-		if json.NewDecoder(res.Body).Decode(&st) != nil {
-			return st, nil
-		}
-	} else {
-		_, _ = io.Copy(io.Discard, res.Body)
-	}
-	return st, res
 }
 
 // TestConcurrentSameSessionSerializes: hammering ONE session from many

@@ -415,7 +415,7 @@ func TestEtagMatches(t *testing.T) {
 func TestSessionsReportNonResidentDatasets(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 0)
 	// Touch only "authors": "books" never builds.
-	if _, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusOK {
+	if _, res := post(t, ts, "/api/v1/sessions", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", res.StatusCode)
 	}
 	resp, err := http.Get(ts.URL + "/api/sessions")
